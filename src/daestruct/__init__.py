@@ -14,7 +14,6 @@ from .btf import (
     UniformityViolation,
     coarse_btf,
     fine_btf,
-    is_strong_hall,
     local_offsets,
 )
 from .codelist import (
@@ -50,7 +49,7 @@ from .executor import (
     taylor_eval,
 )
 from .parser import ParseError, parse_model
-from .ql import EquationQl, QlCode, QlReport, m_sets, propagate_offsets, ql_analysis, vectorized_ql
+from .ql import EquationQl, QlCode, QlReport, m_sets, vectorized_ql
 from .scheme import (
     InitSets,
     Schedule,

@@ -58,19 +58,6 @@ class BlockPartition:
                 return l + 1
         raise KeyError(i)
 
-    def block_of_col(self, j: int) -> int:
-        for l, b in enumerate(self.blocks):
-            if j in b.cols:
-                return l + 1
-        raise KeyError(j)
-
-    def col_position(self, j: int) -> int:
-        """0-based permuted position of original variable j."""
-        return self.col_perm.index(j)
-
-    def row_position(self, i: int) -> int:
-        return self.row_perm.index(i)
-
     def block_positions(self, l: int) -> range:
         """Permuted positions covered by block l (1-based l)."""
         start = sum(b.size for b in self.blocks[: l - 1])
@@ -288,24 +275,3 @@ def local_offsets(
     return LocalOffsets(
         c_hat=tuple(c_hat), d_hat=tuple(d_hat), lead_times=tuple(leads)
     )
-
-
-def is_strong_hall(entries, size: int) -> bool:
-    """Every proper nonempty set of r columns touches at least r+1 rows.
-
-    Direct enumeration over column subsets; meant as an independent check
-    of block irreducibility on small blocks, not as a pipeline step.
-    """
-    from itertools import combinations
-
-    rows_of_col = [set() for _ in range(size)]
-    for i, j in entries:
-        rows_of_col[j].add(i)
-    for r in range(1, size):
-        for cols in combinations(range(size), r):
-            touched = set()
-            for j in cols:
-                touched |= rows_of_col[j]
-            if len(touched) < r + 1:
-                return False
-    return True

@@ -29,7 +29,6 @@ from .executor import (
     solve_to_order,
 )
 from .parser import parse_model
-from .scheme import Schedule
 from .sigma import StructurallyIllPosed
 
 EXIT_OK = 0
@@ -39,42 +38,30 @@ EXIT_EXECUTOR = 4
 EXIT_MISSING_INIT = 5
 
 
-# -- derivative-order display ------------------------------------------
+# -- text report --------------------------------------------------------
+#
+# Rendered from the JSON report, so the two formats cannot disagree.
 
 
-def _order_groups(pairs, names):
-    """Human form of a set of (variable, order) pairs.
+def _order_groups(pairs):
+    """Human form of a sorted list of {"variable", "order"} pairs.
 
     Contiguous runs from order 0 collapse to name^(<=r); isolated orders
     are listed as name^(r); order 0 alone is the bare name.
     """
-    by_var: dict[int, list[int]] = {}
-    for j, r in pairs:
-        by_var.setdefault(j, []).append(r)
+    by_var: dict[str, list[int]] = {}
+    for pair in pairs:
+        by_var.setdefault(pair["variable"], []).append(pair["order"])
     out = []
-    for j in sorted(by_var):
-        orders = sorted(by_var[j])
-        name = names[j]
-        if orders == list(range(len(orders))):
-            top = orders[-1]
-            if top == 0:
-                out.append(name)
-            elif top == 1 and len(orders) == 2:
-                out.append("%s^(<=1)" % name)
+    for name, orders in by_var.items():
+        run = [orders[0]]
+        for r in orders[1:]:
+            if run[0] == 0 and r == run[-1] + 1:
+                run.append(r)
             else:
-                out.append("%s^(<=%d)" % (name, top))
-        else:
-            run: list[int] = []
-            for r in orders:
-                if run and r == run[-1] + 1 and run[0] == 0:
-                    run.append(r)
-                else:
-                    if run:
-                        out.append(_run_text(name, run))
-                        run = []
-                    run = [r]
-            if run:
                 out.append(_run_text(name, run))
+                run = [r]
+        out.append(_run_text(name, run))
     return out
 
 
@@ -86,212 +73,162 @@ def _run_text(name, run):
     return ", ".join("%s^(%d)" % (name, r) for r in run)
 
 
-def _deriv_name(name: str, r: int) -> str:
-    return name if r == 0 else "%s^(%d)" % (name, r)
+def _deriv_names(pairs, key):
+    return ", ".join(
+        p[key] if p["order"] == 0 else "%s^(%d)" % (p[key], p["order"]) for p in pairs
+    )
 
 
-# -- text report --------------------------------------------------------
-
-
-def _sigma_grid(a: Analysis) -> list[str]:
-    model = a.model
-    n = model.n
-    entries = [["" for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            v = a.sm.sigma[i, j]
-            if np.isfinite(v):
-                mark = "\u2022" if a.hvt.assignment[i] == j else ""
-                entries[i][j] = "%d%s" % (int(v), mark)
+def _grid_cells(doc, rows, cols, col_names):
+    """Sigma entries of the given rows and columns (a bullet marks the
+    transversal), and the width of each column."""
+    cells = []
+    for i in rows:
+        line = []
+        for j in cols:
+            v = doc["sigma"][i][j]
+            mark = "\u2022" if doc["hvt"][i] == j else ""
+            line.append("" if v is None else "%d%s" % (v, mark))
+        cells.append(line)
     widths = [
-        max(len(model.variable_names[j]), max(len(entries[i][j]) for i in range(n)), 2)
-        for j in range(n)
+        max(len(name), max(len(line[pj]) for line in cells), 2)
+        for pj, name in enumerate(col_names)
     ]
-    name_w = max(3, *(len(nm) for nm in model.equation_names)) + 2
-    lines = []
-    head = " " * name_w + "  ".join(
-        model.variable_names[j].rjust(widths[j]) for j in range(n)
-    )
-    lines.append(head + "  |  c_i")
-    for i in range(n):
-        row = model.equation_names[i].ljust(name_w) + "  ".join(
-            entries[i][j].rjust(widths[j]) for j in range(n)
-        )
-        lines.append(row + "  |  %d" % a.offsets.c[i])
-    lines.append(
-        "d_j".ljust(name_w)
-        + "  ".join(str(a.offsets.d[j]).rjust(widths[j]) for j in range(n))
-    )
+    return cells, widths
+
+
+def _sigma_grid(doc) -> list[str]:
+    rnames = doc["model"]["equations"]
+    cnames = doc["model"]["variables"]
+    index = range(len(rnames))
+    cells, widths = _grid_cells(doc, index, index, cnames)
+    name_w = max(3, *(len(nm) for nm in rnames)) + 2
+
+    def row_text(texts):
+        return "  ".join(t.rjust(w) for t, w in zip(texts, widths))
+
+    c, d = doc["offsets"]["c"], doc["offsets"]["d"]
+    lines = [" " * name_w + row_text(cnames) + "  |  c_i"]
+    for i in index:
+        lines.append(rnames[i].ljust(name_w) + row_text(cells[i]) + "  |  %d" % c[i])
+    lines.append("d_j".ljust(name_w) + row_text([str(v) for v in d]))
     return lines
 
 
-def _permuted_grid(a: Analysis) -> list[str]:
-    model = a.model
-    n = model.n
-    part = a.fine
+def _permuted_grid(doc) -> list[str]:
+    blocks = doc["blocks"]
+    row_of = {nm: i for i, nm in enumerate(doc["model"]["equations"])}
+    col_of = {nm: j for j, nm in enumerate(doc["model"]["variables"])}
+    rnames = [nm for b in blocks for nm in b["rows"]]
+    cnames = [nm for b in blocks for nm in b["cols"]]
+    rows = [row_of[nm] for nm in rnames]
+    cols = [col_of[nm] for nm in cnames]
+    cells, widths = _grid_cells(doc, rows, cols, cnames)
+    n = len(rows)
     col_block_end = set()
     acc = 0
-    for b in part.blocks:
-        acc += b.size
+    for b in blocks:
+        acc += b["size"]
         col_block_end.add(acc - 1)
-    entries = [["" for _ in range(n)] for _ in range(n)]
-    for pi in range(n):
-        for pj in range(n):
-            i, j = part.row_perm[pi], part.col_perm[pj]
-            v = a.sm.sigma[i, j]
-            if np.isfinite(v):
-                mark = "\u2022" if a.hvt.assignment[i] == j else ""
-                entries[pi][pj] = "%d%s" % (int(v), mark)
-    cnames = [model.variable_names[j] for j in part.col_perm]
-    rnames = [model.equation_names[i] for i in part.row_perm]
-    widths = [
-        max(len(cnames[pj]), max(len(entries[pi][pj]) for pi in range(n)), 2)
-        for pj in range(n)
-    ]
     name_w = max(4, *(len(nm) for nm in rnames)) + 2
 
-    def row_text(cells, tail):
+    def row_text(texts, tail):
         parts = []
         for pj in range(n):
-            parts.append(cells[pj].rjust(widths[pj]))
+            parts.append(texts[pj].rjust(widths[pj]))
             if pj in col_block_end and pj != n - 1:
                 parts.append("|")
         return "  ".join(parts) + tail
 
-    lines = [
-        " " * name_w
-        + row_text(cnames, "  |  c_i  c^_i  K_l")
-    ]
+    c, d = doc["offsets"]["c"], doc["offsets"]["d"]
+    lines = [" " * name_w + row_text(cnames, "  |  c_i  c^_i  K_l")]
     pi = 0
-    for l, b in enumerate(part.blocks, start=1):
-        for _ in range(b.size):
-            i = part.row_perm[pi]
-            lines.append(
-                rnames[pi].ljust(name_w)
-                + row_text(
-                    entries[pi],
-                    "  |  %3d  %4d  %3d"
-                    % (a.offsets.c[i], a.local.c_hat[pi], a.local.lead_times[l - 1]),
-                )
-            )
+    for l, b in enumerate(blocks, start=1):
+        for c_hat in b["c_hat"]:
+            tail = "  |  %3d  %4d  %3d" % (c[rows[pi]], c_hat, b["lead_time"])
+            lines.append(rnames[pi].ljust(name_w) + row_text(cells[pi], tail))
             pi += 1
-        if l != part.p:
+        if l != len(blocks):
             lines.append("-" * len(lines[-1]))
+    lines.append("d_j".ljust(name_w) + row_text([str(d[j]) for j in cols], ""))
     lines.append(
-        "d_j".ljust(name_w)
-        + row_text([str(a.offsets.d[j]) for j in part.col_perm], "")
-    )
-    lines.append(
-        "d^_j".ljust(name_w)
-        + row_text([str(a.local.d_hat[pj]) for pj in range(n)], "")
+        "d^_j".ljust(name_w) + row_text([str(v) for b in blocks for v in b["d_hat"]], "")
     )
     return lines
 
 
-def _schedule_lines(a: Analysis, schedule: Schedule) -> list[str]:
-    model = a.model
-    part = a.fine
+def _schedule_lines(doc) -> list[str]:
     lines = []
-    for task in schedule.tasks:
-        eqs = ", ".join(
-            _deriv_name(model.equation_names[part.row_perm[pos]], r)
-            for pos, r in sorted(task.equations)
-        )
-        unk = ", ".join(
-            _deriv_name(model.variable_names[part.col_perm[pos]], r)
-            for pos, r in sorted(task.unknowns)
-        )
-        uses = ", ".join(
-            _deriv_name(model.variable_names[part.col_perm[pos]], r)
-            for pos, r in sorted(task.cross_block_inputs)
-        )
+    for task in doc["schedule"]:
         head = "stage %3d  block %d (local %3d, %s, %s): " % (
-            task.stage,
-            task.block,
-            task.local_stage,
-            task.determinacy,
-            task.linearity,
+            task["stage"],
+            task["block"],
+            task["local_stage"],
+            task["determinacy"],
+            task["linearity"],
         )
-        if task.equations:
-            body = "solve %s for %s" % (eqs, unk)
-            if uses:
-                body += "  using %s" % uses
+        unk = _deriv_names(task["for"], "variable")
+        if task["solve"]:
+            body = "solve %s for %s" % (_deriv_names(task["solve"], "equation"), unk)
+            if task["uses"]:
+                body += "  using %s" % _deriv_names(task["uses"], "variable")
         else:
             body = "initial values for %s" % unk
         lines.append(head + body)
     return lines
 
 
-def _text_report(a: Analysis, k_range: tuple[int, int]) -> str:
-    model = a.model
-    names = model.variable_names
-    lines = []
-    lines.append(
-        "model: %d equations, %d variables" % (model.n, model.n)
-    )
-    lines.append(
+def _text_report(doc, k_range: tuple[int, int]) -> str:
+    n = len(doc["model"]["equations"])
+    ql = doc["ql"]
+    init = doc["init"]
+    lines = [
+        "model: %d equations, %d variables" % (n, n),
         "structural index: %d    degrees of freedom: %d"
-        % (a.metrics.index, a.metrics.dof)
-    )
-    lines.append("")
-    lines.append("signature matrix (blank = absent, \u2022 marks the transversal)")
-    lines.extend(_sigma_grid(a))
+        % (doc["metrics"]["index"], doc["metrics"]["dof"]),
+        "",
+        "signature matrix (blank = absent, \u2022 marks the transversal)",
+    ]
+    lines.extend(_sigma_grid(doc))
     lines.append("")
     lines.append(
         "coarse blocks: %s"
         % "; ".join(
-            "{%s | %s}"
-            % (
-                ", ".join(model.equation_names[i] for i in b.rows),
-                ", ".join(names[j] for j in b.cols),
-            )
-            for b in a.coarse.blocks
+            "{%s | %s}" % (", ".join(b["rows"]), ", ".join(b["cols"]))
+            for b in doc["coarse_blocks"]
         )
     )
     lines.append("")
-    lines.append("fine block form (%d blocks, solved highest block first)" % a.fine.p)
-    lines.extend(_permuted_grid(a))
+    lines.append(
+        "fine block form (%d blocks, solved highest block first)" % len(doc["blocks"])
+    )
+    lines.extend(_permuted_grid(doc))
     lines.append("")
     lines.append("quasilinearity")
-    for i in range(model.n):
+    for e in ql["per_equation"]:
         lines.append(
-            "  %s: global %s, in-block %s"
-            % (
-                model.equation_names[i],
-                a.ql.global_ql[i].code.value,
-                a.ql.blockwise[i].code.value,
-            )
+            "  %s: global %s, in-block %s" % (e["equation"], e["global"], e["block"])
         )
     lines.append(
         "  per-block linear flags: %s"
-        % " ".join(
-            "block %d=%d" % (l + 1, g) for l, g in enumerate(a.ql.gamma_block)
-        )
+        % " ".join("block %d=%d" % (l + 1, g) for l, g in enumerate(ql["per_block"]))
     )
     lines.append("  whole system linear in leading derivatives: %s"
-                 % ("yes" if a.ql.gamma_dae else "no"))
+                 % ("yes" if ql["dae"] else "no"))
     lines.append("")
     lines.append(
-        "initial values : %s"
-        % (", ".join(_order_groups(a.init_fine.values, names)) or "(none)")
+        "initial values : %s" % (", ".join(_order_groups(init["values"])) or "(none)")
     )
     lines.append(
-        "initial guesses: %s"
-        % (", ".join(_order_groups(a.init_fine.guesses, names)) or "(none)")
+        "initial guesses: %s" % (", ".join(_order_groups(init["guesses"])) or "(none)")
     )
     lines.append(
         "one-block scheme would need %d entries: %s"
-        % (
-            len(a.init_basic.guesses),
-            ", ".join(_order_groups(a.init_basic.guesses, names)),
-        )
+        % (len(init["basic_guesses"]), ", ".join(_order_groups(init["basic_guesses"])))
     )
     lines.append("")
     lines.append("schedule for stages %d..%d" % k_range)
-    schedule = _scheme.render_schedule(
-        k_range[0], k_range[1], a.fine, a.offsets, a.local, a.ql.gamma_eq, a.pattern
-    )
-    lines.extend(_schedule_lines(a, schedule))
+    lines.extend(_schedule_lines(doc))
     return "\n".join(lines) + "\n"
 
 
@@ -331,29 +268,28 @@ def _json_report(a: Analysis, k_range: tuple[int, int]):
     schedule = _scheme.render_schedule(
         k_range[0], k_range[1], part, a.offsets, a.local, a.ql.gamma_eq, a.pattern
     )
-    tasks = []
-    for t in schedule.tasks:
-        tasks.append(
-            {
-                "stage": t.stage,
-                "block": t.block,
-                "local_stage": t.local_stage,
-                "solve": [
-                    {"equation": model.equation_names[part.row_perm[pos]], "order": r}
-                    for pos, r in sorted(t.equations)
-                ],
-                "for": [
-                    {"variable": names[part.col_perm[pos]], "order": r}
-                    for pos, r in sorted(t.unknowns)
-                ],
-                "uses": [
-                    {"variable": names[part.col_perm[pos]], "order": r}
-                    for pos, r in sorted(t.cross_block_inputs)
-                ],
-                "determinacy": t.determinacy,
-                "linearity": t.linearity,
-            }
-        )
+    row_names = [model.equation_names[i] for i in part.row_perm]
+    col_names = [names[j] for j in part.col_perm]
+    tasks = [
+        {
+            "stage": t.stage,
+            "block": t.block,
+            "local_stage": t.local_stage,
+            "solve": [
+                {"equation": row_names[pos], "order": r} for pos, r in sorted(t.equations)
+            ],
+            "for": [
+                {"variable": col_names[pos], "order": r} for pos, r in sorted(t.unknowns)
+            ],
+            "uses": [
+                {"variable": col_names[pos], "order": r}
+                for pos, r in sorted(t.cross_block_inputs)
+            ],
+            "determinacy": t.determinacy,
+            "linearity": t.linearity,
+        }
+        for t in schedule.tasks
+    ]
     return {
         "model": {
             "variables": list(names),
@@ -456,10 +392,11 @@ def cmd_analyze(args) -> int:
     except (ModelError, ValueError) as err:
         print("error: %s" % err, file=sys.stderr)
         return EXIT_INPUT
+    doc = _json_report(a, k_range)
     if args.format == "json":
-        print(json.dumps(_json_report(a, k_range), indent=2))
+        print(json.dumps(doc, indent=2))
     else:
-        print(_text_report(a, k_range), end="")
+        print(_text_report(doc, k_range), end="")
     return EXIT_OK
 
 

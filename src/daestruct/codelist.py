@@ -75,9 +75,6 @@ class CodeList:
             return (node.arg,)
         return ()
 
-    def is_input(self, r: int) -> bool:
-        return r <= self.n
-
     def equation_nodes(self, i: int) -> range:
         """Indices of the nodes appended for equation i (its sub-list)."""
         start = self.n + 1 if i == 0 else self.output_indices[i - 1] + 1
@@ -108,9 +105,6 @@ class DaeModel:
 
     def variable_index(self, name: str) -> int:
         return self.variable_names.index(name)
-
-    def equation_index(self, name: str) -> int:
-        return self.equation_names.index(name)
 
 
 class Expr:

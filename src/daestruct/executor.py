@@ -6,11 +6,12 @@ recurrences; directional sensitivities are propagated alongside the value
 series, which yields exact stage Jacobians (the same forward pass used for
 residuals, seeded with unit derivative perturbations).
 
-Stage systems are solved in derivative units: the Jacobian of the stage-k
-system with respect to its top-order unknowns is independent of k, so a
-single linear solve handles every linear stage, Newton with step halving
-handles square nonlinear stages, and a Gauss-Newton iteration minimizes
-the distance to the supplied guesses subject to the residual for
+Stage systems are solved in derivative units.  Each square linear stage
+evaluates its Jacobian with respect to its top-order unknowns, checks the
+condition estimate and takes one linear solve from zero; the Jacobian is
+rebuilt for every stage, although it does not depend on k.  Newton with
+step halving handles square nonlinear stages, and a Gauss-Newton iteration
+minimizes the distance to the supplied guesses subject to the residual for
 underdetermined stages.
 """
 
@@ -102,10 +103,6 @@ class StatePoint:
 
     def has(self, j: int, r: int) -> bool:
         return (j, r) in self._tc
-
-    def known_order(self, j: int) -> int:
-        orders = [r for (jj, r) in self._tc if jj == j]
-        return max(orders) if orders else -1
 
     def copy(self) -> "StatePoint":
         return StatePoint(t0=self.t0, _tc=dict(self._tc))

@@ -10,8 +10,7 @@ stage-0 unknown (code I); at offset 0 linearity is decided per operation.
 Everything is decided formally: (x'')^2 + x'' - (x'')^2 counts as nonlinear
 in x'' even though the dependence cancels.
 
-Two interchangeable routes are provided: a per-equation scan with early
-exit at the first nonlinear node, and a vectorized sweep that pushes whole
+One vectorized sweep classifies every equation at once: it pushes whole
 n-vectors of encoded offsets through the shared code list (0 encodes L,
 -1 encodes N, positive or infinite values encode I).
 """
@@ -24,7 +23,7 @@ from enum import Enum
 import numpy as np
 
 from .btf import BlockPartition, LocalOffsets
-from .codelist import Binary, CodeList, Const, DaeModel, Deriv, InputTime, InputVar, Unary
+from .codelist import CodeList, Const, DaeModel, Deriv, InputTime, InputVar, Unary
 from .sigma import GlobalOffsets, SignatureMatrix
 
 INF = float("inf")
@@ -45,7 +44,6 @@ class QlCode(Enum):
 @dataclass(frozen=True, eq=False)
 class EquationQl:
     m_set: frozenset[int]  # columns where the offsets are tight for this row
-    offsets: np.ndarray  # per-node offset w.r.t. this equation (+-inf allowed)
     code: QlCode
     first_nonlinear: int | None  # node index of the first N, if any
 
@@ -83,76 +81,12 @@ def m_sets(
     return out
 
 
-def propagate_offsets(
-    cl: CodeList, i: int, m_i: frozenset[int], sm: SignatureMatrix
-) -> np.ndarray:
-    """Offsets of every node with respect to equation i.
-
-    Time and constants get +inf; an input variable gets its signature entry
-    when its column is tight, +inf otherwise; operations take the minimum
-    over their operands; a derivative node subtracts its order.
-    """
-    alpha = np.full(len(cl.nodes), INF)
-    for r, node in enumerate(cl.nodes):
-        if isinstance(node, (InputTime, Const)):
-            continue
-        if isinstance(node, InputVar):
-            if node.j in m_i:
-                alpha[r] = sm.sigma[i, node.j]
-        elif isinstance(node, Deriv):
-            alpha[r] = alpha[node.arg] - node.p
-        elif isinstance(node, Unary):
-            alpha[r] = alpha[node.arg]
-        else:
-            alpha[r] = min(alpha[node.lhs], alpha[node.rhs])
-    return alpha
-
-
-def _op_is_nonlinear(cl: CodeList, node, alpha_of) -> bool:
-    """Is the operation nonlinear in its offset-0 operands?
-
-    Every offset-0 operand seen here is already known linear (a nonlinear
-    one would have ended the scan), so only the operation itself matters.
-    """
-    if isinstance(node, Unary):
-        return node.op in _NONLINEAR_UNARY
-    if isinstance(node, Binary):
-        if node.op in ("add", "sub"):
-            return False
-        if node.op == "mul":
-            return alpha_of(node.lhs) == 0 and alpha_of(node.rhs) == 0
-        if node.op == "div":
-            return alpha_of(node.rhs) == 0
-        if node.op == "pow":
-            return int(cl.nodes[node.rhs].value) != 1
-    return False  # Deriv and inputs are linear at offset 0
-
-
-def ql_analysis(
-    cl: CodeList, i: int, m_i: frozenset[int], sm: SignatureMatrix
-) -> EquationQl:
-    """Classify equation i, stopping at the first nonlinear node."""
-    alpha = propagate_offsets(cl, i, m_i, sm)
-    out_index = cl.output_indices[i]
-    code = QlCode.L
-    first_n = None
-    for r in sorted(cl.cone(out_index)):
-        if alpha[r] != 0:
-            continue
-        node = cl.nodes[r]
-        if _op_is_nonlinear(cl, node, lambda q: alpha[q]):
-            code = QlCode.N
-            first_n = r
-            break
-    return EquationQl(m_set=m_i, offsets=alpha, code=code, first_nonlinear=first_n)
-
-
 def _vector_sweep(cl: CodeList, sm: SignatureMatrix, msets):
     """One pass over the shared code list with n-vector encoded offsets.
 
-    Returns (alpha, enc, codes, first_n): the plain offset matrix, the
-    encoded matrix (-1 marks nonlinear), output codes and the first
-    nonlinear node per equation restricted to that equation's own nodes.
+    Returns (enc, codes, first_n): the encoded offset matrix (-1 marks
+    nonlinear), output codes and the first nonlinear node per equation
+    restricted to that equation's own nodes.
     """
     n = cl.n
     num = len(cl.nodes)
@@ -166,7 +100,6 @@ def _vector_sweep(cl: CodeList, sm: SignatureMatrix, msets):
         for r in cl.cone(oi):
             in_cone[r, i] = True
 
-    alpha = np.full((num, n), INF)
     enc = np.full((num, n), INF)
     first_n: list[int | None] = [None] * n
 
@@ -182,19 +115,14 @@ def _vector_sweep(cl: CodeList, sm: SignatureMatrix, msets):
         if isinstance(node, (InputTime, Const)):
             continue
         if isinstance(node, InputVar):
-            col = sm.sigma[:, node.j]
-            alpha[r] = np.where(tight[:, node.j], col, INF)
-            enc[r] = alpha[r]
+            enc[r] = np.where(tight[:, node.j], sm.sigma[:, node.j], INF)
         elif isinstance(node, Deriv):
-            alpha[r] = alpha[node.arg] - node.p
             enc[r] = enc[node.arg] - node.p
         elif isinstance(node, Unary):
-            alpha[r] = alpha[node.arg]
             enc[r] = enc[node.arg]
             if node.op in _NONLINEAR_UNARY:
                 mark(r, enc[r] == 0)
         else:
-            alpha[r] = np.minimum(alpha[node.lhs], alpha[node.rhs])
             a, b = enc[node.lhs], enc[node.rhs]
             enc[r] = np.minimum(a, b)
             zero = enc[r] == 0
@@ -208,7 +136,7 @@ def _vector_sweep(cl: CodeList, sm: SignatureMatrix, msets):
     codes = []
     for i, oi in enumerate(cl.output_indices):
         codes.append(QlCode.N if enc[oi, i] == -1 else QlCode.L)
-    return alpha, enc, codes, first_n
+    return enc, codes, first_n
 
 
 def vectorized_ql(
@@ -228,17 +156,11 @@ def vectorized_ql(
     cl = model.codelist
     m_g = m_sets(sm, offs)
     m_b = m_sets(sm, offs, part)
-    alpha_g, enc_g, codes_g, firstn_g = _vector_sweep(cl, sm, m_g)
-    alpha_b, enc_b, codes_b, firstn_b = _vector_sweep(cl, sm, m_b)
+    enc_g, codes_g, firstn_g = _vector_sweep(cl, sm, m_g)
+    enc_b, codes_b, firstn_b = _vector_sweep(cl, sm, m_b)
 
-    global_ql = tuple(
-        EquationQl(m_g[i], alpha_g[:, i], codes_g[i], firstn_g[i])
-        for i in range(sm.n)
-    )
-    blockwise = tuple(
-        EquationQl(m_b[i], alpha_b[:, i], codes_b[i], firstn_b[i])
-        for i in range(sm.n)
-    )
+    global_ql = tuple(EquationQl(m_g[i], codes_g[i], firstn_g[i]) for i in range(sm.n))
+    blockwise = tuple(EquationQl(m_b[i], codes_b[i], firstn_b[i]) for i in range(sm.n))
     gamma_eq = tuple(1 if codes_b[i] is QlCode.L else 0 for i in range(sm.n))
     gamma_block = []
     for l in range(1, part.p + 1):

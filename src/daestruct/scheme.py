@@ -27,25 +27,15 @@ class InitSets:
 
 
 @dataclass(frozen=True)
-class StageBlockSets:
-    """Index sets of one (stage, block) cell, in permuted 0-based positions."""
+class StageTask:
+    """One (stage, block) cell, in permuted 0-based positions."""
 
+    stage: int
     block: int  # 1-based block number
     local_stage: int
     equations: frozenset[tuple[int, int]]  # (row position, derivative order)
     unknowns: frozenset[tuple[int, int]]  # (col position, derivative order)
     cross_block_inputs: frozenset[tuple[int, int]]
-
-
-@dataclass(frozen=True)
-class StageTask:
-    stage: int
-    block: int
-    local_stage: int
-    equations: frozenset[tuple[int, int]]
-    unknowns: frozenset[tuple[int, int]]
-    cross_block_inputs: frozenset[tuple[int, int]]
-    prior_state: str  # description of the already-known lower derivatives
     determinacy: str  # "underdetermined" | "square"
     linearity: str  # "linear" | "nonlinear"
 
@@ -99,40 +89,50 @@ def stage_sets(
     offs: GlobalOffsets,
     local: LocalOffsets,
     pattern: JacobianPattern,
-) -> list[StageBlockSets]:
-    """The per-block equation/unknown/input sets of stage k.
+    gamma_eq: tuple[int, ...],
+) -> list[StageTask]:
+    """The classified cells of stage k, one per block l = 1..p.
 
     cross_block_inputs lists the same-stage unknowns of higher-numbered
     blocks that the block's equations actually reach (columns adjacent to
     the block's rows in the Jacobian pattern); everything below stage k is
-    implicit prior state.
+    implicit prior state.  A cell without equations is classified
+    underdetermined and linear.
     """
     n = part.n
     c_pos = [offs.c[part.row_perm[pos]] for pos in range(n)]
     d_pos = [offs.d[part.col_perm[pos]] for pos in range(n)]
     pos_of_col = {j: pos for pos, j in enumerate(part.col_perm)}
+    block_of_col = [0] * n
+    for l, b in enumerate(part.blocks, start=1):
+        for j in b.cols:
+            block_of_col[j] = l
+    cols_of_row: list[list[int]] = [[] for _ in range(n)]
+    for i, j in pattern.s0:
+        cols_of_row[i].append(j)
     out = []
     for l in range(1, part.p + 1):
-        positions = list(part.block_positions(l))
+        positions = part.block_positions(l)
         eqs = frozenset((pos, k + c_pos[pos]) for pos in positions if k + c_pos[pos] >= 0)
         unk = frozenset((pos, k + d_pos[pos]) for pos in positions if k + d_pos[pos] >= 0)
-        # columns of later blocks reachable from this block's rows
-        reach = set()
-        rows = part.blocks[l - 1].rows
-        later_cols = set()
-        for lq in range(l + 1, part.p + 1):
-            later_cols.update(part.blocks[lq - 1].cols)
-        for i in rows:
-            for j in later_cols:
-                if (i, j) in pattern.s0 and k + offs.d[j] >= 0:
-                    reach.add((pos_of_col[j], k + offs.d[j]))
+        reach = frozenset(
+            (pos_of_col[j], k + offs.d[j])
+            for i in part.blocks[l - 1].rows
+            for j in cols_of_row[i]
+            if block_of_col[j] > l and k + offs.d[j] >= 0
+        )
+        verdict = classify_stage(k, l, part, local, gamma_eq)
+        det, lin = verdict or ("underdetermined", "linear")
         out.append(
-            StageBlockSets(
+            StageTask(
+                stage=k,
                 block=l,
                 local_stage=k + local.lead_times[l - 1],
                 equations=eqs,
                 unknowns=unk,
-                cross_block_inputs=frozenset(reach),
+                cross_block_inputs=reach,
+                determinacy=det,
+                linearity=lin,
             )
         )
     return out
@@ -189,27 +189,6 @@ def render_schedule(
     """
     tasks = []
     for k in range(k_min, k_max + 1):
-        sets = stage_sets(k, part, offs, local, pattern)
-        for l in range(part.p, 0, -1):
-            cell = sets[l - 1]
-            if not cell.equations and not cell.unknowns:
-                continue
-            cls = classify_stage(k, l, part, local, gamma_eq)
-            if cls is None:
-                det, lin = "underdetermined", "linear"
-            else:
-                det, lin = cls
-            tasks.append(
-                StageTask(
-                    stage=k,
-                    block=l,
-                    local_stage=cell.local_stage,
-                    equations=cell.equations,
-                    unknowns=cell.unknowns,
-                    cross_block_inputs=cell.cross_block_inputs,
-                    prior_state="x[pos]^(r) for 0 <= r < %d + d[pos]" % k,
-                    determinacy=det,
-                    linearity=lin,
-                )
-            )
+        cells = stage_sets(k, part, offs, local, pattern, gamma_eq)
+        tasks.extend(cell for cell in reversed(cells) if cell.equations or cell.unknowns)
     return Schedule(tasks=tuple(tasks))

@@ -233,22 +233,6 @@ def canonical_offsets(sm: SignatureMatrix, t: Transversal) -> GlobalOffsets:
     return GlobalOffsets(c=tuple(c), d=tuple(d))
 
 
-def canonical_offsets_valid(sm: SignatureMatrix, t: Transversal, offs: GlobalOffsets) -> bool:
-    """Check d_j - c_i >= sigma_ij everywhere finite, equality on t."""
-    n = sm.n
-    for i in range(n):
-        for j in range(n):
-            s = sm.sigma[i, j]
-            if not np.isfinite(s):
-                continue
-            if offs.d[j] - offs.c[i] < int(s):
-                return False
-    return all(
-        offs.d[t.assignment[i]] - offs.c[i] == sigma
-        for i, sigma in ((i, int(sm.sigma[i, t.assignment[i]])) for i in range(n))
-    )
-
-
 def jacobian_pattern(sm: SignatureMatrix, offs: GlobalOffsets) -> JacobianPattern:
     s0 = set()
     s = set()

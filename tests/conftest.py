@@ -1,16 +1,20 @@
 import itertools
 import math
 import random
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import daestruct as ds
+from daestruct.codelist import Binary, Const, Deriv, InputTime, InputVar, Unary
+from daestruct.ql import _NONLINEAR_UNARY, QlCode
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
 NEG_INF = float("-inf")
+INF = float("inf")
 
 
 def load_model(name: str) -> ds.DaeModel:
@@ -90,6 +94,85 @@ def enumerate_valid_offsets(sigma: np.ndarray, assignment, c_bound: int):
         if all(d[assignment[i]] - c[i] == int(sigma[i, assignment[i]]) for i in range(n)):
             pairs.append((tuple(c), tuple(d)))
     return pairs
+
+
+def is_strong_hall(entries, size: int) -> bool:
+    """Every proper nonempty set of r columns touches at least r+1 rows.
+
+    Direct enumeration over column subsets; an independent check of block
+    irreducibility on small blocks.
+    """
+    rows_of_col = [set() for _ in range(size)]
+    for i, j in entries:
+        rows_of_col[j].add(i)
+    for r in range(1, size):
+        for cols in itertools.combinations(range(size), r):
+            touched = set()
+            for j in cols:
+                touched |= rows_of_col[j]
+            if len(touched) < r + 1:
+                return False
+    return True
+
+
+def propagate_offsets(cl, i: int, m_i: frozenset[int], sm) -> np.ndarray:
+    """Offsets of every node with respect to equation i.
+
+    Time and constants get +inf; an input variable gets its signature entry
+    when its column is tight, +inf otherwise; operations take the minimum
+    over their operands; a derivative node subtracts its order.
+    """
+    alpha = np.full(len(cl.nodes), INF)
+    for r, node in enumerate(cl.nodes):
+        if isinstance(node, (InputTime, Const)):
+            continue
+        if isinstance(node, InputVar):
+            if node.j in m_i:
+                alpha[r] = sm.sigma[i, node.j]
+        elif isinstance(node, Deriv):
+            alpha[r] = alpha[node.arg] - node.p
+        elif isinstance(node, Unary):
+            alpha[r] = alpha[node.arg]
+        else:
+            alpha[r] = min(alpha[node.lhs], alpha[node.rhs])
+    return alpha
+
+
+def _op_is_nonlinear(cl, node, alpha_of) -> bool:
+    """Is the operation nonlinear in its offset-0 operands?
+
+    Every offset-0 operand seen here is already known linear (a nonlinear
+    one would have ended the scan), so only the operation itself matters.
+    """
+    if isinstance(node, Unary):
+        return node.op in _NONLINEAR_UNARY
+    if isinstance(node, Binary):
+        if node.op in ("add", "sub"):
+            return False
+        if node.op == "mul":
+            return alpha_of(node.lhs) == 0 and alpha_of(node.rhs) == 0
+        if node.op == "div":
+            return alpha_of(node.rhs) == 0
+        if node.op == "pow":
+            return int(cl.nodes[node.rhs].value) != 1
+    return False  # Deriv and inputs are linear at offset 0
+
+
+@dataclass(frozen=True, eq=False)
+class OracleQl:
+    offsets: np.ndarray  # per-node offset w.r.t. the equation (+-inf allowed)
+    code: QlCode
+    first_nonlinear: int | None  # node index of the first N, if any
+
+
+def ql_analysis(cl, i: int, m_i: frozenset[int], sm) -> OracleQl:
+    """Classify equation i by a per-equation scan, stopping at the first
+    nonlinear node."""
+    alpha = propagate_offsets(cl, i, m_i, sm)
+    for r in sorted(cl.cone(cl.output_indices[i])):
+        if alpha[r] == 0 and _op_is_nonlinear(cl, cl.nodes[r], lambda q: alpha[q]):
+            return OracleQl(alpha, QlCode.N, r)
+    return OracleQl(alpha, QlCode.L, None)
 
 
 def random_sigma(rng: random.Random, n: int, max_order: int = 3) -> np.ndarray:

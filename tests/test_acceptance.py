@@ -13,14 +13,16 @@ import pytest
 
 import daestruct as ds
 from daestruct.codelist import Binary
-from daestruct.ql import QlCode, m_sets, ql_analysis
+from daestruct.ql import QlCode, m_sets
 from daestruct.scheme import render_schedule, stage_sets
 from daestruct.sigma import NEG_INF, SignatureMatrix
 
 from conftest import (
     brute_force_hvt,
     finite_difference_jacobian,
+    is_strong_hall,
     load_model,
+    ql_analysis,
     random_model,
     random_sigma,
 )
@@ -103,7 +105,7 @@ def test_criterion_2_fine_btf(tp):
             for (i, j) in tp.pattern.s0
             if i in block.rows and j in block.cols
         }
-        assert ds.is_strong_hall(entries, block.size)
+        assert is_strong_hall(entries, block.size)
     print("PASS criterion 2: fine blocks, local offsets, lead times, strong Hall")
 
 
@@ -165,7 +167,9 @@ def test_criterion_4_initialization_sets(tp):
 def test_criterion_5_stage_sets_and_schedule(tp):
     # permuted positions: 0=E|v, 1=D|mu, 2=F|u, 3=A|x, 4=B|y, 5=C|lambda
     cells = {
-        s.block: s for s in stage_sets(-2, tp.fine, tp.offsets, tp.local, tp.pattern)
+        s.block: s for s in stage_sets(
+            -2, tp.fine, tp.offsets, tp.local, tp.pattern, tp.ql.gamma_eq
+        )
     }
     assert cells[4].equations == {(3, 2), (4, 2), (5, 4)}
     assert cells[4].unknowns == {(3, 4), (4, 4), (5, 2)}
@@ -244,7 +248,7 @@ def test_criterion_7_underdetermined_counts(tp, random_fleet):
             positions = list(part.block_positions(l))
             assert min(local.c_hat[pos] for pos in positions) == 0
         for k in range(-max(a.offsets.d) - 2, 3):
-            for cell in stage_sets(k, part, a.offsets, local, a.pattern):
+            for cell in stage_sets(k, part, a.offsets, local, a.pattern, a.ql.gamma_eq):
                 if cell.local_stage < 0 and (cell.equations or cell.unknowns):
                     if not len(cell.equations) < len(cell.unknowns):
                         violations += 1

@@ -6,7 +6,7 @@ import pytest
 import daestruct as ds
 from daestruct.sigma import SignatureMatrix
 
-from conftest import random_model, random_sigma
+from conftest import is_strong_hall, random_model, random_sigma
 
 
 def _block_sets(part):
@@ -81,11 +81,11 @@ def test_strong_hall_pendulum_block(two_pendula_analysis):
         for (i, j) in a.pattern.s0
         if i in block.rows and j in block.cols
     }
-    assert ds.is_strong_hall(entries, 3)
+    assert is_strong_hall(entries, 3)
 
 
 def test_strong_hall_rejects_decomposable():
-    assert not ds.is_strong_hall({(0, 0), (1, 1)}, 2)
+    assert not is_strong_hall({(0, 0), (1, 1)}, 2)
 
 
 def test_strong_hall_on_fine_blocks_of_random_models():
@@ -103,7 +103,7 @@ def test_strong_hall_on_fine_blocks_of_random_models():
                 for (i, j) in a.pattern.s0
                 if i in block.rows and j in block.cols
             }
-            assert ds.is_strong_hall(entries, block.size)
+            assert is_strong_hall(entries, block.size)
             checked += 1
     assert checked > 20
 

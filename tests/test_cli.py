@@ -8,6 +8,7 @@ from daestruct.cli import main
 from conftest import MODELS
 
 SCHEMA = Path(__file__).resolve().parent.parent / "docs" / "report-schema.json"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run(capsys, *args):
@@ -86,6 +87,17 @@ def test_analyze_deterministic(capsys):
     _, t1, _ = run(capsys, "analyze", str(MODELS / "two_pendula.dae"))
     _, t2, _ = run(capsys, "analyze", str(MODELS / "two_pendula.dae"))
     assert t1 == t2
+
+
+@pytest.mark.parametrize("model", ["pendulum", "two_pendula", "linear"])
+@pytest.mark.parametrize(
+    "suffix, extra",
+    [("txt", []), ("json", ["--format", "json"]), ("stages.txt", ["--stages=-3..2"])],
+)
+def test_analyze_matches_golden(capsys, model, suffix, extra):
+    code, out, err = run(capsys, "analyze", str(MODELS / ("%s.dae" % model)), *extra)
+    assert code == 0 and err == ""
+    assert out == (GOLDEN / ("%s.%s" % (model, suffix))).read_text(encoding="utf-8")
 
 
 def test_analyze_parse_error_exit_code(tmp_path, capsys):

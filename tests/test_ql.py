@@ -3,9 +3,9 @@ import random
 import numpy as np
 import daestruct as ds
 from daestruct.codelist import Binary, Deriv, InputVar, Unary
-from daestruct.ql import QlCode, m_sets, propagate_offsets, ql_analysis
+from daestruct.ql import QlCode, m_sets
 
-from conftest import random_model
+from conftest import propagate_offsets, ql_analysis, random_model
 
 INF = float("inf")
 
@@ -256,7 +256,7 @@ def test_independence_marker_consistency_random():
         cl = model.codelist
         for i in range(model.n):
             cone = cl.cone(cl.output_indices[i])
-            alpha = a.ql.global_ql[i].offsets
+            alpha = propagate_offsets(cl, i, a.ql.global_ql[i].m_set, a.sm)
             enc = a.ql.encoded_global[:, i]
             for r in cone:
                 if enc[r] == -1:

@@ -67,7 +67,7 @@ def test_tight_coupling_orders_fine_blocks_as_a_chain():
     assert [b.cols for b in a.fine.blocks] == [(j,) for j in reversed(range(n))]
     from daestruct.scheme import stage_sets
 
-    cells = stage_sets(0, a.fine, a.offsets, a.local, a.pattern)
+    cells = stage_sets(0, a.fine, a.offsets, a.local, a.pattern, a.ql.gamma_eq)
     # every block after the head consumes its neighbour's stage unknown
     pos_of = {j: p for p, j in enumerate(a.fine.col_perm)}
     for l in range(1, n):  # blocks 1..n-1 hold x_n..x_2

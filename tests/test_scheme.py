@@ -102,7 +102,7 @@ def test_fine_init_closed_form_random():
 
 def test_stage_sets_at_minus_two(two_pendula_analysis):
     a = two_pendula_analysis
-    sets = stage_sets(-2, a.fine, a.offsets, a.local, a.pattern)
+    sets = stage_sets(-2, a.fine, a.offsets, a.local, a.pattern, a.ql.gamma_eq)
     # permuted positions: 0=E|v, 1=D|mu, 2=F|u, 3=A|x, 4=B|y, 5=C|lambda
     by_block = {s.block: s for s in sets}
     assert by_block[4].equations == {(3, 2), (4, 2), (5, 4)}
@@ -135,6 +135,13 @@ def test_classification_examples(two_pendula_analysis):
     # square linear stage
     assert classify_stage(-4, 4, a.fine, a.local, gamma) == ("square", "linear")
     assert classify_stage(0, 2, a.fine, a.local, gamma) == ("square", "linear")
+    # every stage_sets cell carries classify_stage's verdict
+    for k in range(-7, 3):
+        for cell in stage_sets(k, a.fine, a.offsets, a.local, a.pattern, gamma):
+            verdict = classify_stage(k, cell.block, a.fine, a.local, gamma)
+            assert (cell.determinacy, cell.linearity) == (
+                verdict or ("underdetermined", "linear")
+            )
 
 
 def test_block_schedule_reproduces_expected_cells(two_pendula_analysis):
@@ -237,9 +244,24 @@ def test_conservation_between_schemes_random():
         part = a.fine
         bpart = basic_partition(model.n)
         blocal = basic_local(a.offsets)
+        bgamma = tuple(1 if e.code.value == "L" else 0 for e in a.ql.global_ql)
+        pos_of_col = {j: pos for pos, j in enumerate(part.col_perm)}
         for k in range(-max(a.offsets.d) - 1, 3):
-            fine_cells = stage_sets(k, part, a.offsets, a.local, a.pattern)
-            basic_cells = stage_sets(k, bpart, a.offsets, blocal, a.pattern)
+            fine_cells = stage_sets(k, part, a.offsets, a.local, a.pattern, a.ql.gamma_eq)
+            basic_cells = stage_sets(k, bpart, a.offsets, blocal, a.pattern, bgamma)
+            # cross-block inputs: every s0 entry of the block's rows that
+            # lies in the columns of a later block
+            for cell in fine_cells:
+                later_cols = {
+                    j for b in part.blocks[cell.block:] for j in b.cols
+                }
+                expect = {
+                    (pos_of_col[j], k + a.offsets.d[j])
+                    for i in part.blocks[cell.block - 1].rows
+                    for j in later_cols
+                    if (i, j) in a.pattern.s0 and k + a.offsets.d[j] >= 0
+                }
+                assert cell.cross_block_inputs == expect
             fine_eqs = {
                 (part.row_perm[pos], r)
                 for cell in fine_cells
@@ -264,7 +286,7 @@ def test_underdetermined_stages_have_fewer_equations():
         except ds.StructurallyIllPosed:
             continue
         for k in range(-max(a.offsets.d) - 1, 3):
-            cells = stage_sets(k, a.fine, a.offsets, a.local, a.pattern)
+            cells = stage_sets(k, a.fine, a.offsets, a.local, a.pattern, a.ql.gamma_eq)
             for cell in cells:
                 if cell.local_stage < 0:
                     assert len(cell.equations) < len(cell.unknowns) or (
